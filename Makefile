@@ -5,13 +5,15 @@
 # the right correctness tool for the overlapped-communication path —
 # core's crash-recovery restarts, mergepart's collective merge, and
 # the query engine's concurrent serving path, plus the root package
-# for the Server front end).
+# for the Server front end) — and the benchmark module's own
+# answer-checked tests (cubebench/ is a separate Go module, so
+# `go test ./...` at the root does not reach it).
 
 GO ?= go
 
-.PHONY: tier1 build vet test race bench bench-figs bench-json bench-json-smoke bench-ingest-json bench-ingest-smoke experiments qbench-smoke qbench-replica-smoke bench-replica-json qbench-chaos-smoke bench-resilience-json qbench-advisor-smoke bench-advisor-json bench-storage-json bench-storage-smoke qbench-storage-smoke lint-aggop qbench-sketch-smoke bench-sketch-json
+.PHONY: tier1 build vet test race bench-test bench bench-figs bench-json bench-json-smoke bench-ingest-json bench-ingest-smoke experiments qbench-smoke qbench-replica-smoke bench-replica-json qbench-chaos-smoke bench-resilience-json qbench-advisor-smoke bench-advisor-json bench-storage-json bench-storage-smoke qbench-storage-smoke lint-aggop qbench-sketch-smoke bench-sketch-json
 
-tier1: build vet test race lint-aggop
+tier1: build vet test race lint-aggop bench-test
 
 build:
 	$(GO) build ./...
@@ -24,6 +26,9 @@ test:
 
 race:
 	$(GO) test -race ./internal/cluster/... ./internal/samplesort/... ./internal/core/... ./internal/mergepart/... ./internal/ingest/... ./internal/queryengine/... ./internal/replica/... ./internal/faults/... ./internal/gen/... ./internal/advisor/... ./internal/record/... ./internal/colstore/... ./internal/sketch/... .
+
+bench-test:
+	cd cubebench && $(GO) vet ./... && $(GO) test ./...
 
 # AggOp / sketch-kind exhaustiveness guard: a new aggregate operator
 # must be wired through every serve/merge switch (public enum,

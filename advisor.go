@@ -128,14 +128,11 @@ type Advisor struct {
 	stats   AdvisorStats
 }
 
-// NewAdvisor returns a materialization advisor over the cube. Only
-// cluster-backed cubes can adapt; snapshot-loaded cubes have no
-// machine to build on. Iceberg cubes are rejected for the same reason
-// they cannot ingest: pruned groups make online re-aggregation wrong.
+// NewAdvisor returns a materialization advisor over the cube, built or
+// loaded from a snapshot. Iceberg cubes are rejected for the same
+// reason they cannot ingest: pruned groups make online re-aggregation
+// wrong.
 func (c *Cube) NewAdvisor(opts AdvisorOptions) (*Advisor, error) {
-	if c.engine == nil {
-		return nil, fmt.Errorf("rolap: cube has no cluster (loaded from snapshot); advisor needs the machine")
-	}
 	if c.opts.MinSupport > 0 {
 		return nil, fmt.Errorf("rolap: iceberg cubes cannot be adapted online (pruned groups are unrecoverable)")
 	}
@@ -399,7 +396,7 @@ func (c *Cube) retireView(v lattice.ViewID) (bool, error) {
 // omit the new view from future ingest delta builds (its rows would
 // never reach the view), so ingest falls back to the deterministic
 // schedule derived from the live orders. Caller holds ingMu and the
-// engine maintenance lock; gather-path readers synchronize on topoMu.
+// engine maintenance lock; readers outside it synchronize on topoMu.
 func (c *Cube) updateTopology(v lattice.ViewID, order lattice.Order) {
 	d := len(c.in.schema.Dimensions)
 	c.topoMu.Lock()

@@ -308,6 +308,39 @@ func TestAdvisorConcurrentWithServingAndIngest(t *testing.T) {
 			}
 		}(w)
 	}
+	// Direct Cube reads run as engine queries beside the server, the
+	// advisor and ingest. Ingest only adds facts of measure 1, so the
+	// grand total this reader sees never shrinks.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last int64
+		for i := 0; i < 20; i++ {
+			dims := shapes[i%len(shapes)]
+			if _, err := cube.GroupBy(dims, nil); err != nil {
+				errCh <- fmt.Errorf("cube group-by %v: %w", dims, err)
+				return
+			}
+			if _, err := cube.Aggregate([]string{"store", "product"}, []uint32{uint32(i % 40), uint32(i % 25)}); err != nil {
+				errCh <- fmt.Errorf("cube point lookup: %w", err)
+				return
+			}
+			if _, err := cube.RangeAggregate([]string{"month", "store"}, []uint32{2, 0}, []uint32{9, 20}); err != nil {
+				errCh <- fmt.Errorf("cube range: %w", err)
+				return
+			}
+			total, err := cube.Aggregate(nil, nil)
+			if err != nil {
+				errCh <- fmt.Errorf("cube grand total: %w", err)
+				return
+			}
+			if i > 0 && total < last {
+				errCh <- fmt.Errorf("grand total shrank from %d to %d", last, total)
+				return
+			}
+			last = total
+		}
+	}()
 	// Advisor stepping.
 	wg.Add(1)
 	go func() {

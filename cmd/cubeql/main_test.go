@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,9 +84,28 @@ func TestRunWithStats(t *testing.T) {
 	if err := run(csvPath, "measure", 2, "", snapPath, "", "", "region", "product=widget", 0, "sum", true, 0); err != nil {
 		t.Fatal(err)
 	}
-	// On a snapshot there is no cluster: stats degrade gracefully.
-	if err := run("", "measure", 2, "", "", snapPath, "", "region", "", 0, "sum", true, 0); err != nil {
+	// A snapshot-loaded cube serves through the query server too.
+	old := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
+	}
+	os.Stderr = w
+	errc := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		errc <- b
+	}()
+	errRun := run("", "measure", 2, "", "", snapPath, "", "region", "", 0, "sum", true, 0)
+	w.Close()
+	os.Stderr = old
+	stderr := string(<-errc)
+	r.Close()
+	if errRun != nil {
+		t.Fatal(errRun)
+	}
+	if !strings.Contains(stderr, "query: source=") {
+		t.Fatalf("snapshot stats run printed no query line:\n%s", stderr)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Snapshot: the precompute-then-serve deployment the paper motivates.
 // A nightly job ingests the day's fact table from CSV, builds the cube
 // on the simulated cluster, and writes a snapshot; a query server
-// loads the snapshot (no cluster, no rebuild) and answers OLAP queries
-// from the materialized views.
+// loads the snapshot (no rebuild: the views are re-scattered over a
+// simulated machine of the saved size) and answers OLAP queries from
+// the materialized views.
 package main
 
 import (

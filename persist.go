@@ -143,12 +143,13 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 			}
 		}
 	}
-	snapshot := func() error {
-		if c.engine != nil {
-			sc.ViewVersions = map[uint32]uint64{}
-			for v, ver := range c.engine.Versions() {
-				sc.ViewVersions[uint32(v)] = ver
-			}
+	// One maintenance section across every view: holding ingMu alone is
+	// not enough, because the per-view gathers would otherwise
+	// interleave with an engine-level slice replacement.
+	c.engine.Maintain(func() error {
+		sc.ViewVersions = map[uint32]uint64{}
+		for v, ver := range c.engine.Versions() {
+			sc.ViewVersions[uint32(v)] = ver
 		}
 		if includePending && c.pending != nil {
 			for i := 0; i < c.pending.Len(); i++ {
@@ -161,22 +162,15 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 			if columnar {
 				// v3: gather the sealed per-rank slices as-is — the file
 				// carries the compressed block images and their placement.
-				if c.machine != nil {
-					name := core.ViewFile(v)
-					for r := 0; r < c.machine.P(); r++ {
-						disk := c.machine.Proc(r).Disk()
-						if !disk.Has(name) || disk.Len(name) == 0 {
-							continue
-						}
-						disk.Seal(name)
-						s, _ := disk.GetSlice(name)
-						sv.Ranks = append(sv.Ranks, r)
-						sv.Slices = append(sv.Slices, s)
-						sv.Sums = append(sv.Sums, s.Checksum())
+				name := core.ViewFile(v)
+				for r := 0; r < c.machine.P(); r++ {
+					disk := c.machine.Proc(r).Disk()
+					if !disk.Has(name) || disk.Len(name) == 0 {
+						continue
 					}
-				} else if t := c.cache[v]; t != nil && t.Len() > 0 {
-					s := colstore.Encode(t)
-					sv.Ranks = append(sv.Ranks, 0)
+					disk.Seal(name)
+					s, _ := disk.GetSlice(name)
+					sv.Ranks = append(sv.Ranks, r)
 					sv.Slices = append(sv.Slices, s)
 					sv.Sums = append(sv.Sums, s.Checksum())
 				}
@@ -196,19 +190,7 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 			sc.Views = append(sc.Views, sv)
 		}
 		return nil
-	}
-	// One maintenance section across every view: holding ingMu alone is
-	// not enough, because the per-view gathers would otherwise
-	// interleave with an engine-level slice replacement.
-	var err error
-	if c.engine != nil {
-		err = c.engine.Maintain(snapshot)
-	} else {
-		err = snapshot()
-	}
-	if err != nil {
-		return err
-	}
+	})
 	if c.sketch != nil {
 		cfg := c.sketch.Config()
 		sc.SketchKind = int(cfg.Kind)
@@ -243,12 +225,6 @@ func blobSum(b []byte) uint64 {
 // processors' disks, without entering the engine's maintenance section
 // (Maintain is not reentrant; saveLocked already holds it).
 func (c *Cube) gatherViewRaw(v lattice.ViewID) *record.Table {
-	if c.machine == nil {
-		if t := c.cache[v]; t != nil {
-			return t
-		}
-		return record.New(v.Count(), 0)
-	}
 	rows := record.New(v.Count(), 0)
 	for r := 0; r < c.machine.P(); r++ {
 		if t, ok := c.machine.Proc(r).Disk().Get(core.ViewFile(v)); ok {

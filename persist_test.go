@@ -134,9 +134,10 @@ func saveLoad(t *testing.T, c *Cube) *Cube {
 
 // TestSaveLoadRehydratesQueryState is the regression test for the
 // loader leaving query-side state unhydrated: a loaded cube must have
-// a live distributed engine (not the gather-and-scan fallback), usable
-// prefix indexes, correct smallest-superset planning inputs, and
-// serving must work — all without rebuilding.
+// a live distributed engine (the only query path), usable prefix
+// indexes, planning row counts that make the engine pick the same
+// source views as on the original, and serving must work — all
+// without rebuilding.
 func TestSaveLoadRehydratesQueryState(t *testing.T) {
 	in, oracle := loadRandom(t, 1500, 37)
 	cube, err := Build(in, Options{Processors: 4})
@@ -155,11 +156,11 @@ func TestSaveLoadRehydratesQueryState(t *testing.T) {
 	// planning row counts drive the same source-view choices.
 	checkCubesEqual(t, loaded, cube)
 	for _, dims := range [][]string{{"store"}, {"month", "channel"}, {"product", "store"}} {
-		want, err := cube.smallestSuperset(mustView(t, cube, dims))
+		want, err := cube.engine.PickSource(mustView(t, cube, dims))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.smallestSuperset(mustView(t, loaded, dims))
+		got, err := loaded.engine.PickSource(mustView(t, loaded, dims))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,10 @@ import (
 
 // TestDistributedGroupByMatchesGatherOracle is the subsystem's
 // correctness oracle: on randomized schemas, data, filters, and
-// machine sizes, the distributed scatter–gather path must return
-// byte-identical results to the original gather-and-scan path.
+// machine sizes, the distributed scatter–gather path behind GroupBy,
+// RangeAggregate and Aggregate must return byte-identical results to
+// the gather-and-scan oracle (oracle_test.go), which no longer serves
+// any production query.
 func TestDistributedGroupByMatchesGatherOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	aggs := []Aggregate{Sum, Min, Max}
@@ -107,6 +109,28 @@ func TestDistributedGroupByMatchesGatherOracle(t *testing.T) {
 		if gotR != wantR {
 			t.Fatalf("trial %d: range %v %v..%v: distributed %d, gathered %d",
 				trial, rdims, lo, hi, gotR, wantR)
+		}
+
+		// And a random point lookup over 0..d dims: the range oracle
+		// at lo == hi.
+		np := rng.Intn(d + 1)
+		pdims := make([]string, np)
+		key := make([]uint32, np)
+		for k, u := range rng.Perm(d)[:np] {
+			pdims[k] = dims[u].Name
+			key[k] = uint32(rng.Intn(dims[u].Cardinality))
+		}
+		gotP, err := cube.Aggregate(pdims, key)
+		if err != nil {
+			t.Fatalf("trial %d: distributed point: %v", trial, err)
+		}
+		wantP, err := cube.gatherRangeAggregate(pdims, key, key)
+		if err != nil {
+			t.Fatalf("trial %d: gather point: %v", trial, err)
+		}
+		if gotP != wantP {
+			t.Fatalf("trial %d: point %v = %v: distributed %d, gathered %d",
+				trial, pdims, key, gotP, wantP)
 		}
 	}
 }
@@ -207,12 +231,12 @@ func TestSmallestSupersetDeterministicTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := cube.smallestSuperset(need)
+	first, err := cube.engine.PickSource(need)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		v, err := cube.smallestSuperset(need)
+		v, err := cube.engine.PickSource(need)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -159,9 +159,6 @@ func (n *replicaNode) Apply(rows [][]uint32, meas []int64) error {
 // registration happen atomically with respect to Ingest, so no batch
 // can slip between the snapshot and the delta stream.
 func (c *Cube) NewReplicaSet(opts ReplicaOptions) (*ReplicaSet, error) {
-	if c.engine == nil {
-		return nil, fmt.Errorf("rolap: cube has no cluster (loaded without a machine); cannot replicate")
-	}
 	n := opts.Replicas
 	if n == 0 {
 		n = 2
@@ -300,26 +297,14 @@ func (r *ReplicaSet) GroupBy(ctx context.Context, dims []string, filters map[str
 // bound, like Server.Aggregate, with failover, hedging, and the leader
 // fallback per ResilienceOptions.
 func (r *ReplicaSet) Aggregate(ctx context.Context, dims []string, key []uint32) (int64, QueryMetrics, error) {
-	if len(dims) != len(key) {
-		return 0, QueryMetrics{}, fmt.Errorf("rolap: %d dims, %d key values", len(dims), len(key))
-	}
-	lo := append([]uint32(nil), key...)
-	hi := append([]uint32(nil), key...)
-	return r.RangeAggregate(ctx, dims, lo, hi)
+	return r.RangeAggregate(ctx, dims, key, key)
 }
 
 // RangeAggregate serves a range aggregate from a replica within the
 // staleness bound, like Server.RangeAggregate, with failover, hedging,
 // and the leader fallback per ResilienceOptions.
 func (r *ReplicaSet) RangeAggregate(ctx context.Context, dims []string, lo, hi []uint32) (int64, QueryMetrics, error) {
-	if len(dims) != len(lo) || len(dims) != len(hi) {
-		return 0, QueryMetrics{}, fmt.Errorf("rolap: dims/lo/hi length mismatch")
-	}
-	for k := range lo {
-		if lo[k] > hi[k] {
-			return 0, QueryMetrics{}, fmt.Errorf("rolap: empty range on %q", dims[k])
-		}
-	}
+	// Pre-validate on the leader, as GroupBy does.
 	if _, err := r.leader.planRange(dims, lo, hi); err != nil {
 		return 0, QueryMetrics{}, err
 	}

@@ -275,23 +275,21 @@ type Options struct {
 // processors of a shared-nothing machine.
 type Cube struct {
 	in      *Input
-	machine *cluster.Machine // nil for cubes loaded from a v1 snapshot
+	machine *cluster.Machine
 	views   []lattice.ViewID
 	orders  map[lattice.ViewID]lattice.Order
 	// topoMu guards views/orders/trees against the advisor's online
 	// materialize/retire (writers additionally hold ingMu and the
-	// engine maintenance lock; gather-path readers take the read lock).
+	// engine maintenance lock; readers outside it take the read lock).
 	topoMu  sync.RWMutex
 	metrics Metrics
 	op      record.AggOp
-	// engine serves distributed queries; nil for cubes loaded from a
-	// v1 snapshot, which fall back to gather-and-scan.
+	// engine serves every query where the data lives, on built and
+	// loaded cubes alike.
 	engine *queryengine.Engine
 	// sketch backs holistic aggregates: view measures are handles into
 	// it. Nil for algebraic cubes.
 	sketch *sketch.Store
-	// cache holds gathered views for machine-less (loaded) cubes.
-	cache map[lattice.ViewID]*record.Table
 
 	// opts keeps the build configuration so incremental batches reuse
 	// the same thresholds, overlap mode, and aggregate operator.

@@ -242,13 +242,9 @@ type flight struct {
 	err  error
 }
 
-// NewServer returns a query server over the cube. Only cluster-backed
-// cubes (from Build) can serve; cubes loaded from a snapshot have no
-// machine to execute on.
+// NewServer returns a query server over the cube, built or loaded
+// from a snapshot.
 func (c *Cube) NewServer(opts ServerOptions) (*Server, error) {
-	if c.engine == nil {
-		return nil, fmt.Errorf("rolap: cube has no cluster (loaded from snapshot); use GroupBy directly")
-	}
 	w := opts.Workers
 	if w == 0 {
 		w = 4
@@ -306,84 +302,27 @@ type cached struct {
 // Cube.GroupBy but with admission control, deadline, caching, and
 // per-query cost metrics.
 func (s *Server) GroupBy(ctx context.Context, dims []string, filters map[string]uint32) (*View, QueryMetrics, error) {
-	for attempt := 0; ; attempt++ {
-		q, err := s.cube.planQuery(dims, filters, defaultPercentile)
-		if err != nil {
-			if s.replanable(err, attempt) {
-				continue
-			}
-			return nil, QueryMetrics{}, err
-		}
-		c, qm, err := s.serve(ctx, s.cacheKey("g", q), q)
-		if err != nil {
-			if s.replanable(err, attempt) {
-				continue
-			}
-			return nil, qm, err
-		}
-		return &View{
-			Attributes: append([]string(nil), dims...),
-			Estimated:  s.cube.op.Holistic(),
-			order:      queryOrder(s.cube, dims),
-			rows:       c.rows,
-		}, qm, nil
-	}
-}
-
-// replanable reports whether a serve error means the plan's source
-// view was retired (or rebuilt) mid-flight and the query should be
-// replanned against the current view set.
-func (s *Server) replanable(err error, attempt int) bool {
-	if attempt < staleReplanLimit && errors.Is(err, queryengine.ErrStalePlan) {
-		s.replans.Add(1)
-		return true
-	}
-	return false
+	return s.cube.groupByVia(s.exec(ctx, "g"), &s.replans, dims, filters, defaultPercentile)
 }
 
 // Aggregate serves a point lookup: the aggregate of the single group
 // of the named view identified by key (values in dims order).
 func (s *Server) Aggregate(ctx context.Context, dims []string, key []uint32) (int64, QueryMetrics, error) {
-	if len(dims) != len(key) {
-		return 0, QueryMetrics{}, fmt.Errorf("rolap: %d dims, %d key values", len(dims), len(key))
-	}
-	// lo and hi must be independent copies: sharing one slice would let
-	// any downstream mutation of one bound silently corrupt the other.
-	lo := append([]uint32(nil), key...)
-	hi := append([]uint32(nil), key...)
-	return s.RangeAggregate(ctx, dims, lo, hi)
+	return s.RangeAggregate(ctx, dims, key, key)
 }
 
 // RangeAggregate serves a range aggregate like Cube.RangeAggregate,
 // with admission control, deadline, caching, and per-query metrics.
 func (s *Server) RangeAggregate(ctx context.Context, dims []string, lo, hi []uint32) (int64, QueryMetrics, error) {
-	if len(dims) != len(lo) || len(dims) != len(hi) {
-		return 0, QueryMetrics{}, fmt.Errorf("rolap: dims/lo/hi length mismatch")
-	}
-	for k := range lo {
-		if lo[k] > hi[k] {
-			return 0, QueryMetrics{}, fmt.Errorf("rolap: empty range on %q", dims[k])
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		q, err := s.cube.planRange(dims, lo, hi)
-		if err != nil {
-			if s.replanable(err, attempt) {
-				continue
-			}
-			return 0, QueryMetrics{}, err
-		}
-		c, qm, err := s.serve(ctx, s.cacheKey("s", q), q)
-		if err != nil {
-			if s.replanable(err, attempt) {
-				continue
-			}
-			return 0, qm, err
-		}
-		if c.rows.Len() == 0 {
-			return 0, qm, nil
-		}
-		return c.rows.Meas(0), qm, nil
+	return s.cube.rangeVia(s.exec(ctx, "s"), &s.replans, dims, lo, hi)
+}
+
+// exec returns the plannedExec that runs queries through the server's
+// pipeline under ctx, cached under keys tagged with the query kind.
+func (s *Server) exec(ctx context.Context, kind string) plannedExec {
+	return func(q queryengine.Query) (*record.Table, QueryMetrics, error) {
+		c, qm, err := s.serve(ctx, s.cacheKey(kind, q), q)
+		return c.rows, qm, err
 	}
 }
 
@@ -644,8 +583,8 @@ func (s *Server) Stats() ServerStats {
 	}
 	s.vsMu.Unlock()
 	return ServerStats{
-		Views:   views,
-		Replans: s.replans.Load(),
+		Views:                views,
+		Replans:              s.replans.Load(),
 		Queries:              s.queries.Load(),
 		CacheHits:            s.hits.Load(),
 		Rejected:             s.rejected.Load(),
