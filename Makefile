@@ -5,9 +5,11 @@
 # the right correctness tool for the overlapped-communication path —
 # core's crash-recovery restarts, mergepart's collective merge, and
 # the query engine's concurrent serving path, plus the root package
-# for the Server front end) — and the benchmark module's own
-# answer-checked tests (cubebench/ is a separate Go module, so
-# `go test ./...` at the root does not reach it).
+# for the Server front end, and the build layers whose tables peer
+# ranks read during exchanges: Pipesort outputs, in-place external
+# sorts, simulated disks, and spaced samples) — and the benchmark
+# module's own answer-checked tests (cubebench/ is a separate Go
+# module, so `go test ./...` at the root does not reach it).
 
 GO ?= go
 
@@ -25,7 +27,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/samplesort/... ./internal/core/... ./internal/mergepart/... ./internal/ingest/... ./internal/queryengine/... ./internal/replica/... ./internal/faults/... ./internal/gen/... ./internal/advisor/... ./internal/record/... ./internal/colstore/... ./internal/sketch/... .
+	$(GO) test -race ./internal/cluster/... ./internal/samplesort/... ./internal/core/... ./internal/mergepart/... ./internal/ingest/... ./internal/queryengine/... ./internal/replica/... ./internal/faults/... ./internal/gen/... ./internal/advisor/... ./internal/record/... ./internal/colstore/... ./internal/sketch/... ./internal/pipesort/... ./internal/extsort/... ./internal/simdisk/... ./internal/sample/... .
 
 bench-test:
 	cd cubebench && $(GO) vet ./... && $(GO) test ./...

@@ -3,6 +3,8 @@ package rolap
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -219,12 +221,34 @@ func TestHolisticCubeEndToEnd(t *testing.T) {
 		if err := cube.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
+		// Save reads the handles straight off the sealed slices; they
+		// must be exactly the set a gather of every view finds.
+		var sc savedCube
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&sc); err != nil {
+			t.Fatal(err)
+		}
+		if want := gatheredHandles(cube); len(want) == 0 || !slices.Equal(sc.SketchHandles, want) {
+			t.Fatalf("%v Save collected %d handles, gather finds %d (or they differ)", agg, len(sc.SketchHandles), len(want))
+		}
 		loaded, err := LoadCube(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if loaded.opts.Aggregate != agg {
 			t.Fatalf("loaded aggregate %v, want %v", loaded.opts.Aggregate, agg)
+		}
+		for _, dims := range [][]string{{"store"}, {"month", "channel"}, {"month", "store", "product", "channel"}} {
+			a, err := cube.GroupBy(dims, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := loaded.GroupBy(dims, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameViewRows(a, b) {
+				t.Fatalf("%v GroupBy %v after LoadCube differs from the saved cube", agg, dims)
+			}
 		}
 		checkHolisticGroupBy(t, loaded, rows, meas, agg, []string{"store"}, nil, 0.5)
 		checkHolisticGroupBy(t, loaded, rows, meas, agg, []string{"month", "channel"}, map[string]uint32{"store": 3}, 0.5)
@@ -328,4 +352,40 @@ func TestHolisticReplicaSet(t *testing.T) {
 			t.Fatalf("leader channel=%d median %d, oracle %d", k[0], m, w)
 		}
 	}
+}
+
+// gatheredHandles returns the sorted distinct sketch handles found by
+// gathering every materialized view of c into row form.
+func gatheredHandles(c *Cube) []int64 {
+	set := map[int64]bool{}
+	for _, v := range c.views {
+		rows := c.gatherViewRaw(v)
+		for i := 0; i < rows.Len(); i++ {
+			if m := rows.Meas(i); m < 0 {
+				set[m] = true
+			}
+		}
+	}
+	out := make([]int64, 0, len(set))
+	for h := range set {
+		out = append(out, h)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// sameViewRows reports whether two query results hold the same rows
+// in the same order.
+func sameViewRows(a, b *View) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		ka, ma := a.Row(i)
+		kb, mb := b.Row(i)
+		if ma != mb || !slices.Equal(ka, kb) {
+			return false
+		}
+	}
+	return true
 }

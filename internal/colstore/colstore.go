@@ -155,22 +155,28 @@ func packedBytes(n int, w uint8) int {
 	return (n*int(w) + 7) / 8
 }
 
-// pack bit-packs vals at w bits per value, LSB-first.
-func pack(vals []uint64, w uint8) []uint64 {
-	nw := wordsFor(len(vals), w)
+// newWords returns the zeroed word array backing n values of w bits,
+// nil when it would be empty.
+func newWords(n int, w uint8) []uint64 {
+	nw := wordsFor(n, w)
 	if nw == 0 {
 		return nil
 	}
-	words := make([]uint64, nw)
-	for i, v := range vals {
-		bit := i * int(w)
-		word, off := bit>>6, uint(bit&63)
-		words[word] |= v << off
-		if off+uint(w) > 64 {
-			words[word+1] |= v >> (64 - off)
-		}
+	return make([]uint64, nw)
+}
+
+// put stores value i (which must fit in w bits) into an LSB-first
+// packed word array allocated by newWords.
+func put(words []uint64, i int, w uint8, v uint64) {
+	if w == 0 {
+		return
 	}
-	return words
+	bit := i * int(w)
+	word, off := bit>>6, uint(bit&63)
+	words[word] |= v << off
+	if off+uint(w) > 64 {
+		words[word+1] |= v >> (64 - off)
+	}
 }
 
 // unpack extracts value i from an LSB-first packed word array.
@@ -193,69 +199,72 @@ func unpack(words []uint64, i int, w uint8) uint64 {
 // Encode compresses a table into a Slice. The choice of encoding per
 // column (RLE vs packed) minimizes the modelled byte size and depends
 // only on the column's values, so it is deterministic. Encode does not
-// take ownership of t.
+// take ownership of t. Every column and the measure are packed
+// straight from t into their output words: one scan sizes a column,
+// a second fills it, and no per-row scratch is allocated.
 func Encode(t *record.Table) *Slice {
 	n := t.Len()
 	s := &Slice{NumCols: t.D, NumRows: n, Cols: make([]Column, t.D)}
-	vals := make([]uint64, n)
-	for j := 0; j < t.D; j++ {
-		var maxv uint64
-		runs := 0
-		for i := 0; i < n; i++ {
-			v := uint64(t.Dim(i, j))
-			vals[i] = v
-			if v > maxv {
-				maxv = v
-			}
-			if i == 0 || vals[i] != vals[i-1] {
-				runs++
-			}
-		}
-		w := bitsFor(maxv)
-		col := Column{Width: w, N: n}
-		if packedBytes(runs, w)+4*runs < packedBytes(n, w) {
-			col.Kind = KindRLE
-			rv := make([]uint64, 0, runs)
-			ends := make([]uint32, 0, runs)
-			for i := 0; i < n; i++ {
-				if i == 0 || vals[i] != vals[i-1] {
-					if i > 0 {
-						ends = append(ends, uint32(i))
-					}
-					rv = append(rv, vals[i])
-				}
-			}
-			if n > 0 {
-				ends = append(ends, uint32(n))
-			}
-			col.Words = pack(rv, w)
-			col.Ends = ends
-		} else {
-			col.Kind = KindPacked
-			col.Words = pack(vals, w)
-		}
-		s.Cols[j] = col
+	for j := range s.Cols {
+		s.Cols[j] = encodeColumn(t, j)
 	}
 	if n > 0 {
 		minv, maxv := t.Meas(0), t.Meas(0)
 		for i := 1; i < n; i++ {
 			m := t.Meas(i)
-			if m < minv {
-				minv = m
-			}
-			if m > maxv {
-				maxv = m
-			}
+			minv = min(minv, m)
+			maxv = max(maxv, m)
 		}
 		s.MeasMin = minv
 		s.MeasWidth = bitsFor(uint64(maxv) - uint64(minv))
-		mv := make([]uint64, n)
+		s.MeasWords = newWords(n, s.MeasWidth)
 		for i := 0; i < n; i++ {
-			mv[i] = uint64(t.Meas(i)) - uint64(minv)
+			put(s.MeasWords, i, s.MeasWidth, uint64(t.Meas(i))-uint64(minv))
 		}
-		s.MeasWords = pack(mv, s.MeasWidth)
 	}
 	return s
+}
+
+// encodeColumn encodes dimension column j of t, choosing RLE when the
+// run directory is smaller than dense packing.
+func encodeColumn(t *record.Table, j int) Column {
+	n := t.Len()
+	var maxv uint32
+	runs := 0
+	for i := 0; i < n; i++ {
+		v := t.Dim(i, j)
+		maxv = max(maxv, v)
+		if i == 0 || v != t.Dim(i-1, j) {
+			runs++
+		}
+	}
+	w := bitsFor(uint64(maxv))
+	col := Column{Width: w, N: n}
+	if packedBytes(runs, w)+4*runs >= packedBytes(n, w) {
+		col.Kind = KindPacked
+		col.Words = newWords(n, w)
+		for i := 0; i < n; i++ {
+			put(col.Words, i, w, uint64(t.Dim(i, j)))
+		}
+		return col
+	}
+	// RLE is only ever smaller for n > 0.
+	col.Kind = KindRLE
+	col.Words = newWords(runs, w)
+	col.Ends = make([]uint32, 0, runs)
+	run := 0
+	for i := 0; i < n; i++ {
+		v := t.Dim(i, j)
+		if i == 0 || v != t.Dim(i-1, j) {
+			if i > 0 {
+				col.Ends = append(col.Ends, uint32(i))
+			}
+			put(col.Words, run, w, uint64(v))
+			run++
+		}
+	}
+	col.Ends = append(col.Ends, uint32(n))
+	return col
 }
 
 // Len returns the row count (nil-safe).

@@ -76,11 +76,13 @@ func sortBudget(d *simdisk.Disk, name string, memBytes, blockBytes int, callerPl
 	useCaller := haveCaller && record.KernelsEnabled() && callerPlan.Cols() == cols && callerPlan.Packable()
 
 	if n <= memRows {
-		// Fits in memory: one read, in-memory sort, one write.
-		t := d.ReadRange(name, 0, n)
+		// Fits in memory: one read, in-place sort, one write. Take
+		// charges the same single read ReadRange(0, n) would (a sealed
+		// file's RangeBytes over all rows equals its Bytes) and hands
+		// over the file's own rows instead of a copy.
+		t := d.MustTake(name)
 		clk.AddCompute(costmodel.SortOps(n))
 		t.SortWithPlan(callerPlan, useCaller)
-		d.Remove(name)
 		d.Put(name, t)
 		return 0
 	}

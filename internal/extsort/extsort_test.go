@@ -42,6 +42,46 @@ func TestSortInMemoryPath(t *testing.T) {
 	}
 }
 
+// TestSortInMemoryChargesMatchCopyPath pins the in-memory path's
+// simulated charges to those of the copying sequence it replaced
+// (ReadRange over every row, Remove, Put): the same disk Stats and the
+// same clock, on a row file and on a sealed columnar file.
+func TestSortInMemoryChargesMatchCopyPath(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		tb := randomTable(7, 300, 3, 6)
+		got, ref := newDisk(), newDisk()
+		got.Put("f", tb.Clone())
+		ref.Put("f", tb.Clone())
+		if sealed {
+			if !got.Seal("f") || !ref.Seal("f") {
+				t.Fatal("columnar store disabled")
+			}
+		}
+		if passes := Sort(got, "f"); passes != 0 {
+			t.Fatalf("sealed=%v: passes = %d, want in-memory sort", sealed, passes)
+		}
+
+		n := ref.Len("f")
+		cp := ref.ReadRange("f", 0, n)
+		ref.Clock().AddCompute(costmodel.SortOps(n))
+		cp.Sort()
+		ref.Remove("f")
+		ref.Put("f", cp)
+
+		if g, w := got.Stats(), ref.Stats(); g != w {
+			t.Fatalf("sealed=%v: stats %+v, copy path %+v", sealed, g, w)
+		}
+		gc, rc := got.Clock(), ref.Clock()
+		if gc.Seconds() != rc.Seconds() || gc.CPUSeconds() != rc.CPUSeconds() || gc.DiskSeconds() != rc.DiskSeconds() {
+			t.Fatalf("sealed=%v: clock %v/%v/%v, copy path %v/%v/%v", sealed,
+				gc.Seconds(), gc.CPUSeconds(), gc.DiskSeconds(), rc.Seconds(), rc.CPUSeconds(), rc.DiskSeconds())
+		}
+		if !record.Equal(got.MustGet("f"), ref.MustGet("f")) {
+			t.Fatalf("sealed=%v: sorted contents differ from the copy path", sealed)
+		}
+	}
+}
+
 func TestSortExternalSinglePass(t *testing.T) {
 	d := newDisk()
 	n := 1000

@@ -256,6 +256,10 @@ func RouteMergeAgg(p *cluster.Proc, file string, ranges []KeyRange, agg record.A
 // overlapMerge is Case 2: route every local row to its range owner,
 // then merge and agglomerate the received sorted runs. When no rows
 // cross processor boundaries the file is left untouched (no rewrite).
+// The kept and outgoing ranges are read-only windows onto the file's
+// rows, not copies: the merge and the receivers only read them, and a
+// rank that ships any rows replaces its file with the merged output,
+// so no window's parent is mutated while a peer still reads it.
 func overlapMerge(p *cluster.Proc, file string, ranges []KeyRange, agg record.Agg) int {
 	disk := p.Disk()
 	t := disk.MustGet(file) // read to route; not yet rewritten
@@ -277,9 +281,9 @@ func overlapMerge(p *cluster.Proc, file string, ranges []KeyRange, agg record.Ag
 			hi = lo
 		}
 		if j == me {
-			kept = t.Sub(lo, hi)
+			kept = t.Window(lo, hi)
 		} else if hi > lo {
-			out[j] = t.Sub(lo, hi)
+			out[j] = t.Window(lo, hi)
 			sent += hi - lo
 		}
 		lo = hi

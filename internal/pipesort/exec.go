@@ -105,12 +105,10 @@ func emitChain(disk *simdisk.Disk, src *record.Table, chain []*lattice.Node, inc
 	st.RowsRead += int64(src.Len())
 
 	lens := make([]int, len(members))
-	outs := make([]*record.Table, len(members))
 	for i, m := range members {
 		lens[i] = len(m.Order)
-		outs[i] = record.New(lens[i], 0)
 	}
-	pipelineAggregate(src, lens, outs, record.Agg{Op: opts.Op, State: opts.State})
+	outs := pipelineAggregate(src, lens, record.Agg{Op: opts.Op, State: opts.State})
 
 	emitted := 0
 	for i, m := range members {
@@ -131,27 +129,32 @@ func emitChain(disk *simdisk.Disk, src *record.Table, chain []*lattice.Node, inc
 
 // pipelineAggregate streams src (sorted lexicographically over all its
 // columns) once, simultaneously aggregating at every prefix length in
-// lens (each <= src.D), appending results to the corresponding outs
-// table. This is the Pipesort pipeline: one scan computes every view
-// in a scan chain.
-func pipelineAggregate(src *record.Table, lens []int, outs []*record.Table, agg record.Agg) {
+// lens (each <= src.D), and returns one output table per level. This
+// is the Pipesort pipeline: one scan computes every view in a scan
+// chain. A counting pass applying the same prefix-diff rule first
+// sizes every output exactly, so no output ever grows by reallocation.
+func pipelineAggregate(src *record.Table, lens []int, agg record.Agg) []*record.Table {
 	n := src.Len()
-	if n == 0 {
-		return
-	}
 	k := len(lens)
+	maxLen := 0
+	for _, l := range lens {
+		if l > maxLen {
+			maxLen = l
+		}
+	}
+	outs := make([]*record.Table, k)
+	for i, rows := range groupCounts(src, lens, maxLen) {
+		outs[i] = record.New(lens[i], rows)
+	}
+	if n == 0 {
+		return outs
+	}
 	groupStart := make([]int, k)
 	accs := make([]int64, k)
 	fresh := make([]bool, k)
 	combined := make([]bool, k)
 	for i := 0; i < k; i++ {
 		accs[i] = src.Meas(0)
-	}
-	maxLen := 0
-	for _, l := range lens {
-		if l > maxLen {
-			maxLen = l
-		}
 	}
 	flush := func(i, row int) {
 		gs := groupStart[i]
@@ -166,16 +169,9 @@ func pipelineAggregate(src *record.Table, lens []int, outs []*record.Table, agg 
 		fresh[i] = true
 	}
 	for r := 1; r < n; r++ {
-		// First column (within the deepest prefix) where row r differs
-		// from row r-1; levels whose prefix includes that column close
-		// their group.
-		diff := maxLen
-		for c := 0; c < maxLen; c++ {
-			if src.Dim(r-1, c) != src.Dim(r, c) {
-				diff = c
-				break
-			}
-		}
+		// Levels whose prefix includes the first differing column
+		// close their group.
+		diff := firstDiff(src, r, maxLen)
 		m := src.Meas(r)
 		for i := 0; i < k; i++ {
 			if lens[i] > diff {
@@ -193,4 +189,40 @@ func pipelineAggregate(src *record.Table, lens []int, outs []*record.Table, agg 
 	for i := 0; i < k; i++ {
 		flush(i, n)
 	}
+	return outs
+}
+
+// groupCounts returns, per prefix length in lens, the number of rows
+// pipelineAggregate emits for src: one per group, where a group closes
+// at every row whose first differing column lies inside the prefix.
+func groupCounts(src *record.Table, lens []int, maxLen int) []int {
+	counts := make([]int, len(lens))
+	n := src.Len()
+	if n == 0 {
+		return counts
+	}
+	for i := range counts {
+		counts[i] = 1
+	}
+	for r := 1; r < n; r++ {
+		diff := firstDiff(src, r, maxLen)
+		for i, l := range lens {
+			if l > diff {
+				counts[i]++
+			}
+		}
+	}
+	return counts
+}
+
+// firstDiff returns the first column (within the first maxLen) where
+// row r of src differs from row r-1, or maxLen if none does.
+func firstDiff(src *record.Table, r, maxLen int) int {
+	prev, cur := src.Row(r - 1)[:maxLen], src.Row(r)[:maxLen]
+	for c := range cur {
+		if prev[c] != cur[c] {
+			return c
+		}
+	}
+	return maxLen
 }

@@ -275,17 +275,42 @@ func TestPipelineAggregateMultiLevel(t *testing.T) {
 	raw := randomRaw(9, 500, 3, []int{4, 3, 2})
 	raw.Sort()
 	lens := []int{3, 2, 1, 0}
-	outs := make([]*record.Table, len(lens))
-	for i, l := range lens {
-		outs[i] = record.New(l, 0)
-	}
-	pipelineAggregate(raw, lens, outs, record.Agg{Op: record.OpSum})
+	outs := pipelineAggregate(raw, lens, record.Agg{Op: record.OpSum})
 	for i, l := range lens {
 		want := record.AggregateSorted(raw, l)
 		if !record.Equal(outs[i], want) {
 			t.Fatalf("prefix %d: pipeline disagrees with AggregateSorted", l)
 		}
+		if outs[i].Cap() != outs[i].Len() {
+			t.Fatalf("prefix %d: output has %d rows but capacity %d", l, outs[i].Len(), outs[i].Cap())
+		}
 	}
+}
+
+// TestExecuteEmitsExactSizedViews checks that every view Pipesort
+// writes, whether produced by a scan or a sort edge, carries no spare
+// capacity: each output is allocated at its exact row count.
+func TestExecuteEmitsExactSizedViews(t *testing.T) {
+	d := 4
+	cards := []int{8, 6, 4, 3}
+	raw := randomRaw(17, 2500, d, cards)
+	sizer := estimate.NewCardenas(int64(raw.Len()), cards)
+	tree := Plan(d, lattice.Full(d), nil, lattice.AllViews(d), sizer)
+	disk := simdisk.New(costmodel.NewClock(costmodel.Default()))
+	prepRoot(disk, raw, tree.Root.Order)
+	st := Execute(disk, tree, fileOf)
+	if st.Sorts == 0 {
+		t.Fatal("full d=4 cube should need a sort edge")
+	}
+	tree.Walk(func(n *lattice.Node) {
+		if n == tree.Root {
+			return
+		}
+		got, _ := disk.Peek(fileOf(n.View))
+		if got.Len() != got.Cap() {
+			t.Fatalf("view %v: %d rows but capacity %d", n.View, got.Len(), got.Cap())
+		}
+	})
 }
 
 func TestStatsRowsEmittedMatchesViewSizes(t *testing.T) {

@@ -161,6 +161,28 @@ func (t *Table) Sub(lo, hi int) *Table {
 	return c
 }
 
+// Window returns a read-only view of rows [lo,hi) that shares t's
+// storage: no rows are copied. Its capacity is clipped to the window,
+// so appending to it reallocates rather than overwriting t's next row.
+// Callers must not mutate the window's rows, and t's rows must not be
+// mutated while the window is in use.
+func (t *Table) Window(lo, hi int) *Table {
+	return &Table{
+		D:    t.D,
+		dims: t.dims[lo*t.D : hi*t.D : hi*t.D],
+		meas: t.meas[lo:hi:hi],
+	}
+}
+
+// Cap returns the number of rows the table can hold without
+// reallocating.
+func (t *Table) Cap() int {
+	if t.D == 0 {
+		return cap(t.meas)
+	}
+	return min(cap(t.dims)/t.D, cap(t.meas))
+}
+
 // Project returns a new table whose columns are the given columns of t,
 // in the given order, preserving row order and measures. cols indexes
 // t's columns. It is how a coarser view's tuple layout is derived from a

@@ -83,6 +83,44 @@ func TestCloneAndSubAreDeep(t *testing.T) {
 	}
 }
 
+func TestWindowSharesRowsWithoutCopying(t *testing.T) {
+	src := FromRows(2, [][]uint32{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, []int64{10, 20, 30, 40})
+	w := src.Window(1, 3)
+	if w.Len() != 2 || w.Cap() != 2 || w.D != 2 {
+		t.Fatalf("window shape: len %d cap %d d %d", w.Len(), w.Cap(), w.D)
+	}
+	if !Equal(w, src.Sub(1, 3)) {
+		t.Fatalf("window rows %v, want rows 1..2 of %v", w, src)
+	}
+	// The window aliases its parent: a parent write is visible through it.
+	src.SetMeas(1, 21)
+	if w.Meas(0) != 21 {
+		t.Fatal("window does not share the parent's storage")
+	}
+	// Appending to the window reallocates instead of overwriting the
+	// parent's next row.
+	w.Append([]uint32{9, 9}, 99)
+	if src.Dim(3, 0) != 4 || src.Meas(3) != 40 || src.Len() != 4 {
+		t.Fatalf("append to window clobbered the parent: %v", src)
+	}
+	if w.Len() != 3 || w.Dim(2, 0) != 9 || w.Meas(0) != 21 {
+		t.Fatalf("appended window = %v", w)
+	}
+	if e := src.Window(2, 2); e.Len() != 0 || e.Cap() != 0 {
+		t.Fatalf("empty window: len %d cap %d", e.Len(), e.Cap())
+	}
+	// A zero-column window is bounded by its measure capacity alone.
+	z := New(0, 4)
+	for i := 0; i < 4; i++ {
+		z.Append(nil, int64(i))
+	}
+	zw := z.Window(0, 2)
+	zw.Append(nil, 7)
+	if z.Meas(2) != 2 {
+		t.Fatal("append to zero-column window clobbered the parent")
+	}
+}
+
 func TestProject(t *testing.T) {
 	src := FromRows(3, [][]uint32{{1, 2, 3}, {4, 5, 6}}, []int64{7, 8})
 	p := src.Project([]int{2, 0})

@@ -10,7 +10,10 @@
 // The implementation keeps every stride-th key and halves the sample
 // (doubling the stride) whenever the array fills, which is the same
 // "every second element into every second location" compaction the
-// paper describes, expressed without in-place aliasing.
+// paper describes. The kept keys live in one flat array of at most a*d
+// values allocated with the first key, and the compaction moves them
+// down in place, so a sample allocates once however long the stream
+// is.
 package sample
 
 import (
@@ -24,7 +27,9 @@ type Online struct {
 	capacity int
 	stride   int
 	n        int // total keys observed
-	keys     [][]uint32
+	width    int // values per key, fixed by the first key
+	size     int // retained keys
+	keys     []uint32
 }
 
 // NewOnline returns a sample that will retain at most a keys; a must
@@ -38,25 +43,49 @@ func NewOnline(a int) *Online {
 
 // Add observes the next key of the stream (keys must arrive in the
 // view's sorted order for rank estimation to be meaningful). The key
-// is copied.
+// is copied; every key must have the same length.
 func (s *Online) Add(key []uint32) {
+	if s.keys == nil {
+		s.reserve(len(key), s.capacity)
+	} else if len(key) != s.width {
+		panic(fmt.Sprintf("sample: key of %d values in a sample of %d-value keys", len(key), s.width))
+	}
 	if s.n%s.stride == 0 {
-		s.keys = append(s.keys, append([]uint32(nil), key...))
-		if len(s.keys) == s.capacity {
-			half := s.keys[: 0 : len(s.keys)/2]
-			for i := 0; i < len(s.keys); i += 2 {
-				half = append(half, s.keys[i])
+		s.keys = append(s.keys, key...)
+		s.size++
+		if s.size == s.capacity {
+			// Keep keys 0, 2, 4, ...: key i moves to slot i/2, which
+			// never overwrites a key still to be moved.
+			for i := 2; i < s.size; i += 2 {
+				copy(s.key(i/2), s.key(i))
 			}
-			s.keys = half
+			s.size = (s.size + 1) / 2
+			s.keys = s.keys[:s.size*s.width]
 			s.stride *= 2
 		}
 	}
 	s.n++
 }
 
-// AddTable observes every row of a table in order.
+// key returns retained key i, aliasing the flat array.
+func (s *Online) key(i int) []uint32 {
+	return s.keys[i*s.width : (i+1)*s.width]
+}
+
+// reserve allocates the flat key array with room for keys keys of
+// width values each.
+func (s *Online) reserve(width, keys int) {
+	s.width = width
+	s.keys = make([]uint32, 0, keys*width)
+}
+
+// AddTable observes every row of a table in order. A fresh sample
+// reserves only as many keys as the table can fill.
 func (s *Online) AddTable(t *record.Table) {
 	n := t.Len()
+	if s.keys == nil && n > 0 {
+		s.reserve(t.D, min(n, s.capacity))
+	}
 	for i := 0; i < n; i++ {
 		s.Add(t.Row(i))
 	}
@@ -66,7 +95,7 @@ func (s *Online) AddTable(t *record.Table) {
 func (s *Online) Len() int { return s.n }
 
 // Size returns the number of retained sample keys.
-func (s *Online) Size() int { return len(s.keys) }
+func (s *Online) Size() int { return s.size }
 
 // Stride returns the spacing between retained keys.
 func (s *Online) Stride() int { return s.stride }
@@ -77,10 +106,10 @@ func (s *Online) Stride() int { return s.stride }
 func (s *Online) EstimateRank(key []uint32) int {
 	// Samples are at stream positions 0, stride, 2*stride, ...; count
 	// how many retained keys are <= key with binary search.
-	lo, hi := 0, len(s.keys)
+	lo, hi := 0, s.size
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if leqPrefix(s.keys[mid], key) {
+		if leqPrefix(s.key(mid), key) {
 			lo = mid + 1
 		} else {
 			hi = mid

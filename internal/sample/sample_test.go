@@ -142,3 +142,54 @@ func TestQuickErrorWithinStride(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRetainedKeysAreExactStreamPositions checks the compaction moves
+// the right keys: after any stream, retained key i is the key observed
+// at position i*stride, and the array never outgrows a*d values. Keys
+// are distinct per position so a misplaced copy cannot go unnoticed.
+func TestRetainedKeysAreExactStreamPositions(t *testing.T) {
+	for _, width := range []int{0, 1, 3} {
+		for _, capacity := range []int{2, 3, 8, 9, 400} {
+			for _, n := range []int{1, 2, 7, 8, 9, 100, 1601, 5000} {
+				key := func(pos int) []uint32 {
+					k := make([]uint32, width)
+					for c := range k {
+						k[c] = uint32(pos*width + c)
+					}
+					return k
+				}
+				viaAdd := NewOnline(capacity)
+				tb := record.New(width, n)
+				for pos := 0; pos < n; pos++ {
+					viaAdd.Add(key(pos))
+					tb.Append(key(pos), 1)
+				}
+				viaTable := NewOnline(capacity)
+				viaTable.AddTable(tb)
+				for _, s := range []*Online{viaAdd, viaTable} {
+					if s.Len() != n || s.Size() < 1 || s.Size() >= capacity {
+						t.Fatalf("w=%d a=%d n=%d: len %d size %d", width, capacity, n, s.Len(), s.Size())
+					}
+					if want := (n + s.Stride() - 1) / s.Stride(); s.Size() != want {
+						t.Fatalf("w=%d a=%d n=%d: size %d, want %d at stride %d", width, capacity, n, s.Size(), want, s.Stride())
+					}
+					if cap(s.keys) > capacity*width {
+						t.Fatalf("w=%d a=%d n=%d: key array capacity %d exceeds a*d = %d", width, capacity, n, cap(s.keys), capacity*width)
+					}
+					for i := 0; i < s.Size(); i++ {
+						want := key(i * s.Stride())
+						got := s.key(i)
+						for c := range want {
+							if got[c] != want[c] {
+								t.Fatalf("w=%d a=%d n=%d: key %d = %v, want stream position %d = %v", width, capacity, n, i, got, i*s.Stride(), want)
+							}
+						}
+					}
+				}
+				if viaAdd.Stride() != viaTable.Stride() {
+					t.Fatalf("w=%d a=%d n=%d: Add and AddTable strides differ", width, capacity, n)
+				}
+			}
+		}
+	}
+}

@@ -18,7 +18,8 @@ import (
 )
 
 // savedCube is the gob-serialized form of a cube: the schema, the
-// dictionaries, and every materialized view gathered into flat arrays.
+// dictionaries, and every materialized view, as flat row arrays (v1/v2)
+// or as the per-rank sealed slice images (v3).
 // This is the "pre-computation" deployment the paper motivates: build
 // the cube once on the cluster, persist it, and serve OLAP queries
 // from the loaded copy.
@@ -98,10 +99,12 @@ const (
 // with LoadCube, queried, and further maintained without rebuilding.
 //
 // Save is safe to call concurrently with Ingest: the pending-buffer
-// copy, the version-counter snapshot, and the gather of every view
-// slice all happen inside one maintenance critical section, so the
+// copy, the version-counter snapshot, and the read of every view slice
+// all happen inside one maintenance critical section, so the
 // serialized cube is always a committed batch boundary — never a torn
-// mixture of pre-batch and post-batch views.
+// mixture of pre-batch and post-batch views. A columnar save reads
+// each sealed slice image once and never decodes it: sketch handles
+// come straight off the slices' measure columns.
 func (c *Cube) Save(w io.Writer) error {
 	c.ingMu.Lock()
 	defer c.ingMu.Unlock()
@@ -131,20 +134,16 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 	}
 	// On a holistic cube every view measure is a sketch handle; collect
 	// them (deduplicated, in deterministic order) so the sealed blobs
-	// travel with the file.
+	// travel with the file. Algebraic cubes have none to collect.
+	holistic := c.sketch != nil
 	handleSet := map[int64]bool{}
-	collectHandles := func(rows *record.Table) {
-		if c.sketch == nil {
-			return
-		}
-		for i := 0; i < rows.Len(); i++ {
-			if m := rows.Meas(i); m < 0 {
-				handleSet[m] = true
-			}
+	addHandle := func(m int64) {
+		if m < 0 {
+			handleSet[m] = true
 		}
 	}
 	// One maintenance section across every view: holding ingMu alone is
-	// not enough, because the per-view gathers would otherwise
+	// not enough, because the per-view reads would otherwise
 	// interleave with an engine-level slice replacement.
 	c.engine.Maintain(func() error {
 		sc.ViewVersions = map[uint32]uint64{}
@@ -160,7 +159,7 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 		for _, v := range c.views {
 			sv := savedView{View: uint32(v), Order: c.orders[v]}
 			if columnar {
-				// v3: gather the sealed per-rank slices as-is — the file
+				// v3: take the sealed per-rank slices as-is — the file
 				// carries the compressed block images and their placement.
 				name := core.ViewFile(v)
 				for r := 0; r < c.machine.P(); r++ {
@@ -173,25 +172,31 @@ func (c *Cube) saveLocked(w io.Writer, includePending bool) error {
 					sv.Ranks = append(sv.Ranks, r)
 					sv.Slices = append(sv.Slices, s)
 					sv.Sums = append(sv.Sums, s.Checksum())
+					if holistic {
+						for i := 0; i < s.Len(); i++ {
+							addHandle(s.Meas(i))
+						}
+					}
 				}
-				collectHandles(c.gatherViewRaw(v))
 				sc.Views = append(sc.Views, sv)
 				continue
 			}
 			rows := c.gatherViewRaw(v)
-			collectHandles(rows)
 			n := rows.Len()
 			sv.Dims = make([]uint32, 0, n*rows.D)
 			sv.Meas = make([]int64, 0, n)
 			for i := 0; i < n; i++ {
 				sv.Dims = append(sv.Dims, rows.Row(i)...)
 				sv.Meas = append(sv.Meas, rows.Meas(i))
+				if holistic {
+					addHandle(rows.Meas(i))
+				}
 			}
 			sc.Views = append(sc.Views, sv)
 		}
 		return nil
 	})
-	if c.sketch != nil {
+	if holistic {
 		cfg := c.sketch.Config()
 		sc.SketchKind = int(cfg.Kind)
 		sc.SketchFMBitmaps = cfg.FMBitmaps

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/core"
 	"repro/internal/lattice"
 )
 
@@ -115,6 +116,47 @@ func TestLoadCubeErrors(t *testing.T) {
 	}
 	if _, err := LoadCube(&buf); err == nil {
 		t.Fatal("future version accepted")
+	}
+}
+
+// TestColumnarSaveReadsEachSliceOnce is the regression test for Save
+// decoding the whole cube: on an algebraic cube a columnar Save must
+// read every sealed view slice exactly once, at its compressed size,
+// and nothing else — no second, decoding read of every view.
+func TestColumnarSaveReadsEachSliceOnce(t *testing.T) {
+	in, _ := loadRandom(t, 1500, 43)
+	cube, err := Build(in, Options{Processors: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cube.machine.P()
+	before := make([]int64, p)
+	for r := 0; r < p; r++ {
+		before[r] = cube.machine.Proc(r).Disk().Stats().BytesRead
+	}
+	var buf bytes.Buffer
+	if err := cube.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < p; r++ {
+		disk := cube.machine.Proc(r).Disk()
+		var want int64
+		for _, v := range cube.views {
+			name := core.ViewFile(v)
+			if !disk.Has(name) || disk.Len(name) == 0 {
+				continue
+			}
+			if !disk.Sealed(name) {
+				t.Fatalf("rank %d: view %v not sealed after Save", r, v)
+			}
+			want += int64(disk.StoredBytes(name))
+		}
+		if want == 0 {
+			t.Fatalf("rank %d holds no view bytes", r)
+		}
+		if got := disk.Stats().BytesRead - before[r]; got != want {
+			t.Fatalf("rank %d: Save read %d bytes, want the %d sealed view bytes", r, got, want)
+		}
 	}
 }
 
